@@ -14,7 +14,7 @@ server over a warm store:
 
 Writes ``BENCH_load.json`` at the repo root so the serving trajectory is
 tracked from PR to PR. Runnable as a pytest test (asserts the gates) and as
-a script (``python benchmarks/bench_load.py``).
+a script (``python -m benchmarks.bench_load``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from repro.store import ArtifactStore
 from repro.store import faults
 from repro.store.client import ServiceClient, ServiceError
 from repro.store.server import build_server, shutdown_gracefully
+
+from benchmarks.conftest import machine, write_report
 
 #: Small seeded dataset: the store serves warm hits, so the benchmark
 #: measures the serving stack, not motif counting.
@@ -175,6 +177,7 @@ def run_load_benchmark(result_path: Path = RESULT_PATH) -> dict:
             shutdown_gracefully(server, drain_seconds=10.0)
 
     payload = {
+        "machine": machine(),
         "clients": CLIENTS,
         "calls_per_client": CALLS_PER_CLIENT,
         "max_queue": SATURATION_MAX_QUEUE,
@@ -187,8 +190,6 @@ def run_load_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_load_shedding():
-    from benchmarks.conftest import write_report
-
     payload = run_load_benchmark()
     throughput, saturation = payload["throughput"], payload["saturation"]
     write_report(

@@ -10,13 +10,12 @@ a speedup. The ``thread`` backend is measured too (informational: its
 speedup depends on how much of the kernels runs outside the GIL). Writes
 ``BENCH_serve.json`` at the repo root so the serving-throughput trajectory
 is tracked from PR to PR. Runnable as a pytest test (asserts the ≥2× gate)
-and as a script (``python benchmarks/bench_serve_parallel.py``).
+and as a script (``python -m benchmarks.bench_serve_parallel``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -27,6 +26,8 @@ from repro.api import CountSpec
 from repro.generators import generate_uniform_random
 from repro.store import ArtifactStore
 from repro.store.serve import EngineServer, ServeRequest
+
+from benchmarks.conftest import usable_cpus
 
 #: The mixed batch: one cold exact count per distinct dataset. Sizes match
 #: the store benchmark's ballpark — big enough that projection + MoCHy-E
@@ -50,14 +51,6 @@ GATE_SPEEDUP = 2.0
 GATE_MIN_CPUS = 4
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _mixed_batch():

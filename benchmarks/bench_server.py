@@ -14,7 +14,7 @@ Each pass builds a brand-new server over the shared store directory
 real HTTP client, and verifies the warm pass is bit-identical to the cold
 one and fully disk-served. Writes ``BENCH_server.json`` at the repo root so
 the serving trajectory is tracked from PR to PR. Runnable as a pytest test
-(asserts the gate) and as a script (``python benchmarks/bench_server.py``).
+(asserts the gate) and as a script (``python -m benchmarks.bench_server``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from repro.hypergraph import io as hio
 from repro.store import ArtifactStore
 from repro.store.client import ServiceClient
 from repro.store.server import build_server, shutdown_gracefully
+
+from benchmarks.conftest import machine, write_report
 
 #: Seeded benchmark hypergraph (bench_store_warm_start's scale: cold
 #: projection + profile dominate, small enough for CI).
@@ -119,6 +121,7 @@ def run_server_benchmark(result_path: Path = RESULT_PATH) -> dict:
             )
 
     payload = {
+        "machine": machine(),
         "nodes": NUM_NODES,
         "edges": NUM_HYPEREDGES,
         "requests": len(cold),
@@ -132,8 +135,6 @@ def run_server_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_server_warm_batch():
-    from benchmarks.conftest import write_report
-
     payload = run_server_benchmark()
     write_report(
         "bench_server",

@@ -15,9 +15,12 @@ prints it), so the tables survive pytest's output capturing.
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
 from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 from repro.counting import CountingRun, run_counting
@@ -56,6 +59,23 @@ def write_report(name: str, text: str) -> Path:
     print(f"\n===== {name} =====")
     print(text)
     return path
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually schedule on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def machine() -> Dict[str, object]:
+    """The machine a ``BENCH_*.json`` record was measured on."""
+    return {
+        "cpus": usable_cpus(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 @pytest.fixture(scope="session")

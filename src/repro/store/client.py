@@ -187,6 +187,8 @@ class ServiceClient:
     def _connection(self) -> http.client.HTTPConnection:
         """The persistent connection, opened lazily (and after drops)."""
         if self._conn is None:
+            # http.client sets TCP_NODELAY on connect, so a POST's separate
+            # header and body sends never wait on the server's delayed ACK.
             self._conn = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )

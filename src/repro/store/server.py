@@ -18,7 +18,7 @@ Endpoints
     parameter combinations and oversized batches all return structured 4xx
     errors without touching a dataset. Valid batches stream back
     ``application/x-ndjson``, one record per request **in completion order**
-    as units finish (chunked transfer, flushed per record):
+    as units finish (chunked transfer; each record leaves in one send):
 
     - ``{"index": i, "status": "ok", "result": {...}}`` — the request's
       typed result, exactly its ``to_dict()`` form;
@@ -90,6 +90,11 @@ Overload and failure behavior (see README "Operations & failure modes"):
   ``Content-Length`` or chunked transfer); idle connections are reaped
   after ``_ServiceHandler.timeout`` seconds. Rejected-before-read
   responses close the connection (the unread body would desynchronize it).
+- **No Nagle stall** — accepted sockets set ``TCP_NODELAY`` and responses
+  are written through a buffered ``wfile``: a JSON response's headers and
+  body leave in one send, a stream's headers leave with its first record,
+  and each NDJSON chunk (size line, record, CRLF) leaves in one send. A
+  small trailing segment therefore never waits on the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -665,8 +670,31 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-mochy/{__version__}"
 
+    #: ``TCP_NODELAY`` on every accepted socket, and a buffered ``wfile``
+    #: that the handler flushes once per message (``handle_one_request``
+    #: flushes JSON responses, :meth:`_write_chunk` each stream record).
+    disable_nagle_algorithm = True
+    wbufsize = -1
+
     #: Idle keep-alive / read timeout (seconds) per connection.
     timeout = 60.0
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up mid-response. The buffered wfile keeps the
+            # unsent bytes, so every later flush re-raises; end the
+            # connection here instead of logging a handler traceback.
+            LOGGER.debug("client disconnected mid-response")
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except OSError:
+            # wfile.close() closed its socket writer, then re-raised the
+            # broken pipe from the flush of the unsent bytes.
+            self.rfile.close()
 
     # ------------------------------------------------------------------- routes
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -878,9 +906,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _write_chunk(self, data: str) -> None:
         payload = data.encode("utf-8")
-        self.wfile.write(f"{len(payload):X}\r\n".encode("ascii"))
-        self.wfile.write(payload)
-        self.wfile.write(b"\r\n")
+        # One write per chunk: framing and record leave in one send at any
+        # record size, with the buffered response headers when the first
+        # record fits the buffer.
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(payload), payload))
         # Flush per record: incremental arrival is the point of the stream.
         self.wfile.flush()
 

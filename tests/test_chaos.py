@@ -16,6 +16,9 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
+import statistics
+import sys
 import threading
 import time
 
@@ -368,6 +371,51 @@ class TestServiceChaos:
         assert len(results) == 2
         assert store.stats.write_errors >= 1
         assert client.health()["status"] == "ok"
+
+    def test_client_disconnect_mid_stream_leaves_the_server_healthy(
+        self, running_server
+    ):
+        server, client = running_server(workers=2, backend="thread")
+        client.batch(_wire_requests(DATASET_A, DATASET_B))  # warm
+        handler_errors, closed = [], []
+        shutdown_request = server.shutdown_request
+        server.handle_error = lambda request, address: handler_errors.append(
+            sys.exc_info()[1]
+        )
+
+        def record_close(request):
+            closed.append(request)
+            shutdown_request(request)
+
+        server.shutdown_request = record_close
+        faults.inject("serve.unit", mode="sleep", seconds=0.5, key=DATASET_B)
+        body = json.dumps({"requests": _wire_requests(DATASET_A, DATASET_B)})
+        raw = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+        raw.sendall(
+            b"POST /v1/batch HTTP/1.1\r\nHost: chaos\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+        )
+        received = b""
+        # The first record's chunk ends with the record's newline + CRLF.
+        while b"\n\r\n" not in received.partition(b"\r\n\r\n")[2]:
+            chunk = raw.recv(65536)
+            assert chunk, "the server closed before the first record"
+            received += chunk
+        # The fast unit's record arrived; hang up while the slow one runs.
+        assert b'"index": 0' in received
+        raw.close()
+        deadline = time.monotonic() + 10
+        while not closed or server.service.in_flight:
+            assert time.monotonic() < deadline, "the abandoned stream never ended"
+            time.sleep(0.01)
+        assert handler_errors == []
+        samples = []
+        for _ in range(5):
+            started = time.perf_counter()
+            assert client.health()["status"] == "ok"
+            samples.append((time.perf_counter() - started) * 1000.0)
+        assert statistics.median(samples) < 15.0, samples
 
     def test_dropped_connection_is_retried_transparently(self, running_server):
         server, client = running_server()

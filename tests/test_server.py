@@ -11,13 +11,17 @@ The hard guarantees pinned here:
   4xx — never a 500 — and leaves the server's stats consistent;
 * a second service over the same store directory serves the whole batch
   from the disk tier;
-* SIGTERM-style shutdown drains in-flight batches before closing.
+* SIGTERM-style shutdown drains in-flight batches before closing;
+* both ends disable Nagle, so a warm keep-alive round trip never waits on
+  the peer's delayed ACK (about 40 ms per stalled round trip on Linux).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 from contextlib import contextmanager
@@ -334,6 +338,53 @@ class TestIncrementalStreaming:
             assert drain_result["drained"] is True
             assert outcome["results"][0]["kind"] == "profile"
             assert server.service.in_flight == 0
+
+
+def median_ms(call, repeats=20):
+    """Median wall time of *repeats* calls to *call*, in milliseconds."""
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - started) * 1000.0)
+    return statistics.median(samples)
+
+
+class TestTransportLatency:
+    """Pins the Nagle/delayed-ACK fix at both ends of the connection."""
+
+    def test_both_ends_set_tcp_nodelay(self):
+        with running_server() as (server, _):
+            accepted = []
+            process_request = server.process_request
+
+            def record(request, client_address):
+                accepted.append(request)
+                process_request(request, client_address)
+
+            server.process_request = record
+            with ServiceClient(port=server.port, timeout=30.0) as client:
+                assert client.health()["status"] == "ok"
+                client_socket = client._connection().sock
+                assert client_socket.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                (server_socket,) = accepted
+                assert server_socket.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+
+    def test_warm_keep_alive_round_trips_stay_far_below_the_stall(self, datasets):
+        alpha, _ = datasets
+        requests = [{"source": alpha, "spec": {"type": "count"}}]
+        with running_server(workers=2, backend="thread") as (_, client):
+            client.batch(requests)  # warm the engine and its result memo
+            health_ms = median_ms(client.health)
+            batch_ms = median_ms(lambda: client.batch(requests))
+            assert client.counters.connections_opened == 1
+        # One stalled round trip costs at least 40 ms.
+        assert health_ms < 15.0, f"warm GET /v1/health median {health_ms:.1f} ms"
+        assert batch_ms < 15.0, f"warm 1-unit batch median {batch_ms:.1f} ms"
 
 
 class TestWireFormatErrors:
