@@ -19,6 +19,8 @@ from repro.fastcore.reference import count_exact_reference, project_reference
 from repro.generators import generate_uniform_random
 from repro.projection import project
 
+from benchmarks.conftest import machine, write_report
+
 #: Seeded benchmark hypergraph (big enough for stable timings, small enough
 #: for the reference path to finish in seconds).
 NUM_NODES = 220
@@ -63,6 +65,7 @@ def run_core_speed_benchmark(result_path: Path = RESULT_PATH) -> dict:
     fast_total = projection_s + exact_s
     reference_total = reference_projection_s + reference_exact_s
     payload = {
+        "machine": machine(),
         "projection_s": projection_s,
         "exact_s": exact_s,
         "edges": hypergraph.num_hyperedges,
@@ -85,8 +88,6 @@ def run_core_speed_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_core_speed():
-    from benchmarks.conftest import write_report
-
     payload = run_core_speed_benchmark()
     lines = [
         f"{'stage':<22} {'fast (s)':>10} {'seed (s)':>10}",

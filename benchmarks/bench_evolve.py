@@ -29,6 +29,8 @@ from repro.api import EvolveSpec, MotifEngine
 from repro.hypergraph.builders import TemporalHypergraph
 from repro.utils.rng import ensure_rng
 
+from benchmarks.conftest import machine, write_report
+
 #: Hyperedges in the base snapshot (boundary 0).
 BASE_EDGES = 2500
 
@@ -99,6 +101,7 @@ def run_evolve_benchmark(result_path: Path = RESULT_PATH) -> dict:
         if snapshot.delta is not None
     ]
     payload = {
+        "machine": machine(),
         "base_edges": BASE_EDGES,
         "snapshots": NUM_SNAPSHOTS + 1,
         "delta_edges": DELTA_EDGES,
@@ -115,8 +118,6 @@ def run_evolve_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_evolve():
-    from benchmarks.conftest import write_report
-
     payload = run_evolve_benchmark()
     lines = [
         f"chain: {payload['base_edges']}-edge base + "

@@ -35,6 +35,8 @@ from repro.store import ArtifactStore, FileLock
 from repro.store.fingerprint import params_digest
 from repro.store.lsm import atomic_write_bytes, jsonify_params
 
+from benchmarks.conftest import machine, write_report
+
 #: Artifacts resident in each store when latency/throughput are measured.
 NUM_ARTIFACTS = 2000
 
@@ -229,6 +231,7 @@ def run_lsm_benchmark(result_path: Path = RESULT_PATH) -> dict:
         occupancy = _lsm_store(lsm_dir).occupancy()
 
     payload = {
+        "machine": machine(),
         "artifacts": NUM_ARTIFACTS,
         "writers": NUM_WRITERS,
         "puts_per_writer": PUTS_PER_WRITER,
@@ -251,8 +254,6 @@ def run_lsm_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_lsm():
-    from benchmarks.conftest import write_report
-
     payload = run_lsm_benchmark()
     lines = [
         f"N={payload['artifacts']} artifacts, {payload['writers']} writer "

@@ -37,6 +37,8 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.store import ArtifactStore
 
+from benchmarks.conftest import machine, write_report
+
 #: Artifacts resident in the store (spread over the LSM shard space).
 NUM_ARTIFACTS = 64
 
@@ -138,6 +140,7 @@ def run_obs_benchmark(result_path: Path = RESULT_PATH) -> dict:
     enabled_s = statistics.median(a["enabled_s"] for a in attempts)
     disabled_s = statistics.median(a["disabled_s"] for a in attempts)
     payload = {
+        "machine": machine(),
         "artifacts": NUM_ARTIFACTS,
         "payload_floats": PAYLOAD_FLOATS,
         "gets_per_chunk": GETS_PER_CHUNK,
@@ -155,8 +158,6 @@ def run_obs_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_obs():
-    from benchmarks.conftest import write_report
-
     payload = run_obs_benchmark()
     lines = [
         f"{payload['attempts']} attempts x {payload['rounds_per_attempt']} "

@@ -27,7 +27,7 @@ from repro.generators import generate_uniform_random
 from repro.store import ArtifactStore
 from repro.store.serve import EngineServer, ServeRequest
 
-from benchmarks.conftest import usable_cpus
+from benchmarks.conftest import machine, write_report
 
 #: The mixed batch: one cold exact count per distinct dataset. Sizes match
 #: the store benchmark's ballpark — big enough that projection + MoCHy-E
@@ -97,11 +97,11 @@ def run_serve_parallel_benchmark(result_path: Path = RESULT_PATH) -> dict:
                 )
 
     payload = {
+        "machine": machine(),
         "datasets": NUM_DATASETS,
         "nodes": NUM_NODES,
         "edges": NUM_HYPEREDGES,
         "workers": NUM_WORKERS,
-        "cpus": usable_cpus(),
         "serial_s": serial_s,
         "thread_s": thread_s,
         "process_s": process_s,
@@ -116,13 +116,11 @@ def run_serve_parallel_benchmark(result_path: Path = RESULT_PATH) -> dict:
 def test_bench_serve_parallel():
     import pytest
 
-    from benchmarks.conftest import write_report
-
     payload = run_serve_parallel_benchmark()
     lines = [
         f"mixed cold batch: {payload['datasets']} datasets x exact count "
         f"({payload['edges']} hyperedges each), {payload['workers']} workers "
-        f"on {payload['cpus']} cpus",
+        f"on {payload['machine']['cpus']} cpus",
         f"{'backend':<10} {'seconds':>9} {'speedup':>9}",
         f"{'serial':<10} {payload['serial_s']:>9.3f} {'1.0x':>9}",
         f"{'thread':<10} {payload['thread_s']:>9.3f} "
@@ -132,12 +130,12 @@ def test_bench_serve_parallel():
         "parallel counts verified bit-identical to serial",
     ]
     write_report("bench_serve_parallel", "\n".join(lines))
-    if payload["cpus"] < GATE_MIN_CPUS:
+    if payload["machine"]["cpus"] < GATE_MIN_CPUS:
         # Parity was still verified above; only the throughput gate needs
         # real cores (CI hardware has them).
         pytest.skip(
             f"speedup gate needs >= {GATE_MIN_CPUS} usable cpus, "
-            f"have {payload['cpus']}"
+            f"have {payload['machine']['cpus']}"
         )
     assert payload["process_speedup"] >= GATE_SPEEDUP, (
         f"process backend speedup {payload['process_speedup']:.2f}x "

@@ -25,6 +25,8 @@ from repro.api import CountSpec, MotifEngine, ProfileSpec
 from repro.generators import generate_uniform_random
 from repro.store import ArtifactStore
 
+from benchmarks.conftest import machine, write_report
+
 #: Seeded benchmark hypergraph (matches bench_core_speed's scale ballpark:
 #: big enough that cold projection+counting dominates, small enough for CI).
 NUM_NODES = 240
@@ -89,6 +91,7 @@ def run_store_warm_start_benchmark(result_path: Path = RESULT_PATH) -> dict:
         raise AssertionError("warm run was not served from the store; benchmark void")
 
     payload = {
+        "machine": machine(),
         "edges": NUM_HYPEREDGES,
         "nodes": NUM_NODES,
         "cold_count_s": cold_count_s,
@@ -108,8 +111,6 @@ def run_store_warm_start_benchmark(result_path: Path = RESULT_PATH) -> dict:
 
 
 def test_bench_store_warm_start():
-    from benchmarks.conftest import write_report
-
     payload = run_store_warm_start_benchmark()
     lines = [
         f"{'workflow':<22} {'cold (s)':>10} {'warm (s)':>10} {'speedup':>9}",

@@ -53,7 +53,7 @@ def main() -> None:
     print(
         f"\nMoCHy-A+ with a {budget}-neighborhood memoization budget: "
         f"{lazy_run.counting_seconds:.3f}s "
-        f"({lazy_run.num_samples} sampled hyperwedges, per-triple fallback)"
+        f"({lazy_run.num_samples} sampled hyperwedges, same block kernels)"
     )
 
     # Parallel exact counting through the same engine. (The serial run's time

@@ -31,7 +31,6 @@ from repro.api.config import (
     CompareSpec,
     CountSpec,
     EvolveSpec,
-    KernelConfig,
     PredictSpec,
     ProfileSpec,
     VarianceSpec,
@@ -68,7 +67,6 @@ __all__ = [
     "PredictSpec",
     "EvolveSpec",
     "VarianceSpec",
-    "KernelConfig",
     "PROJECTION_FULL",
     "PROJECTION_LAZY",
     "PROJECTIONS",

@@ -24,8 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.counting.runner import ALGORITHM_EXACT, resolve_algorithm
-from repro.exceptions import CountSpecError, KernelBackendError, SpecError
-from repro.fastcore.backend import BACKEND_AUTO, KERNEL_BACKEND_CHOICES
+from repro.exceptions import CountSpecError, SpecError
 from repro.profile.significance import DEFAULT_EPSILON
 from repro.projection.lazy import POLICY_DEGREE, POLICY_LRU, POLICY_RANDOM
 from repro.randomization.null_model import NULL_MODEL_CHUNG_LU, NULL_MODELS
@@ -48,31 +47,6 @@ def _check_positive_int(value, name: str) -> int:
     if value <= 0:
         raise CountSpecError(f"{name} must be positive, got {value}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Selection of the counting-kernel backend (``repro.fastcore``).
-
-    ``backend`` is one of :data:`~repro.fastcore.KERNEL_BACKEND_CHOICES`:
-    ``"numpy"`` (the always-available anchor-block kernels), ``"numba"``
-    (optional JIT-compiled inner loops) or ``"auto"`` (numba when importable,
-    numpy otherwise). The *name* is validated eagerly; *availability* is
-    checked when the engine enters the backend scope, so a config built on a
-    numba-equipped parent still constructs on a worker without numba — it
-    fails loudly there only if actually used.
-    """
-
-    backend: str = BACKEND_AUTO
-
-    def __post_init__(self) -> None:
-        name = str(self.backend).strip().lower()
-        if name not in KERNEL_BACKEND_CHOICES:
-            raise KernelBackendError(
-                f"unknown kernel backend {self.backend!r}; choose from "
-                f"{KERNEL_BACKEND_CHOICES}"
-            )
-        object.__setattr__(self, "backend", name)
 
 
 @dataclass(frozen=True)

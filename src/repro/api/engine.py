@@ -9,7 +9,7 @@ re-projected per call. Deterministic results (exact counts, seeded sampling
 runs) are additionally memoized per spec, so a profile reuses the counts of a
 previous ``count()`` with the same configuration.
 
-The engine is the single place where backend selection lives: a
+The engine is the single place where execution choices live: a
 :class:`~repro.api.CountSpec` chooses the algorithm, serial or parallel
 drivers, and a ``"full"`` (materialized, cached) or ``"lazy"``
 (memory-budgeted, Section 3.4) projection. The legacy entrypoints
@@ -53,7 +53,6 @@ from repro.api.config import (
     CompareSpec,
     CountSpec,
     EvolveSpec,
-    KernelConfig,
     PredictSpec,
     ProfileSpec,
     VarianceSpec,
@@ -87,7 +86,6 @@ from repro.counting.runner import (
 from repro.counting.variance import compute_overlap_statistics, variance_comparison
 from repro.counting.wedge_sampling import count_approx_wedge_sampling
 from repro.exceptions import SpecError
-from repro.fastcore.backend import use_backend
 from repro.fastcore.delta import DeltaState, apply_delta, initial_state
 from repro.hypergraph.builders import TemporalHypergraph
 from repro.hypergraph.hypergraph import Hypergraph
@@ -185,12 +183,6 @@ class MotifEngine:
         :class:`~repro.store.ArtifactStore` is used as given. Only
         deterministic artifacts (the full projection, exact or integer-seeded
         results) are stored, so cached and cold paths stay bit-identical.
-    kernel:
-        Optional :class:`~repro.api.KernelConfig` (or backend name string)
-        pinning the counting-kernel backend for every run of this engine.
-        ``None`` follows the ambient selection (``set_backend`` /
-        ``REPRO_KERNEL_BACKEND``). Counts are bit-identical across backends,
-        so the choice is deliberately not part of any cache key.
     """
 
     def __init__(
@@ -198,7 +190,6 @@ class MotifEngine:
         hypergraph: EngineSource,
         projection: Optional[ProjectedGraph] = None,
         store: Union[ArtifactStore, bool, None] = True,
-        kernel: Union[KernelConfig, str, None] = None,
     ) -> None:
         if isinstance(hypergraph, TemporalHypergraph):
             self._temporal: Optional[TemporalHypergraph] = hypergraph
@@ -211,9 +202,6 @@ class MotifEngine:
                 "MotifEngine requires a Hypergraph or TemporalHypergraph, "
                 f"got {type(hypergraph).__name__}"
             )
-        if isinstance(kernel, str):
-            kernel = KernelConfig(kernel)
-        self._kernel = kernel
         self._projection = projection
         self._projection_builds = 0
         self._hyperwedges: Optional[List[Tuple[int, int]]] = None
@@ -230,11 +218,10 @@ class MotifEngine:
         scale: float = 1.0,
         registry: Optional[DatasetRegistry] = None,
         store: Union[ArtifactStore, bool, None] = True,
-        kernel: Union[KernelConfig, str, None] = None,
     ) -> "MotifEngine":
         """Build an engine from a registered dataset name or a hypergraph file."""
         registry = DEFAULT_REGISTRY if registry is None else registry
-        return cls(registry.load(source, scale=scale), store=store, kernel=kernel)
+        return cls(registry.load(source, scale=scale), store=store)
 
     # -------------------------------------------------------------- properties
     @property
@@ -258,14 +245,6 @@ class MotifEngine:
     def store(self) -> Optional[ArtifactStore]:
         """The artifact store this engine consults (``None`` when disabled)."""
         return self._store
-
-    @property
-    def kernel(self) -> Optional[KernelConfig]:
-        """The pinned kernel configuration (``None`` = ambient selection)."""
-        return self._kernel
-
-    def _kernel_backend(self) -> Optional[str]:
-        return None if self._kernel is None else self._kernel.backend
 
     @property
     def fingerprint(self) -> str:
@@ -369,19 +348,18 @@ class MotifEngine:
         resolved_samples = self._resolve_samples(spec, hypergraph, provider, wedges)
         instances = None
         with Timer() as counting_timer:
-            with use_backend(self._kernel_backend()):
-                if spec.include_instances:
-                    # MoCHy-E-ENUM: the reference per-triple walk. Counts
-                    # tallied from it match the batched kernel exactly (both
-                    # are integer-valued), pinned by the counting test suite.
-                    instances = tuple(enumerate_instances(hypergraph, provider))
-                    counts = MotifCounts.zeros()
-                    for instance in instances:
-                        counts.increment(instance.motif)
-                else:
-                    counts = self._dispatch(
-                        spec, hypergraph, provider, resolved_samples, wedges
-                    )
+            if spec.include_instances:
+                # MoCHy-E-ENUM: the reference per-triple walk. Counts
+                # tallied from it match the batched kernel exactly (both
+                # are integer-valued), pinned by the counting test suite.
+                instances = tuple(enumerate_instances(hypergraph, provider))
+                counts = MotifCounts.zeros()
+                for instance in instances:
+                    counts.increment(instance.motif)
+            else:
+                counts = self._dispatch(
+                    spec, hypergraph, provider, resolved_samples, wedges
+                )
         result = CountResult(
             dataset=hypergraph.name,
             algorithm=spec.algorithm,
@@ -699,9 +677,7 @@ class MotifEngine:
                     )
                 if counts is None and (emit or state is not None):
                     if state is None:
-                        state = initial_state(
-                            accumulated, backend=self._kernel_backend()
-                        )
+                        state = initial_state(accumulated)
                         mode = SNAPSHOT_MODE_FULL
                     else:
                         stats = apply_delta(state, list(step.edges))
@@ -744,8 +720,8 @@ class MotifEngine:
 
         This is the from-scratch path: sampling chains, snapshot mode,
         profile-bearing chains and ``incremental=False``. Child engines
-        share this engine's store (content-fingerprint keys) and pinned
-        kernel backend; the same integer seed replays for every snapshot.
+        share this engine's store (content-fingerprint keys); the same
+        integer seed replays for every snapshot.
         """
         count_spec = spec.count_spec()
         accumulated: List[FrozenSet[Hashable]] = []
@@ -762,9 +738,7 @@ class MotifEngine:
                     graph = self._static()
                 else:
                     graph = Hypergraph(edges, name=f"{self.name}@{step.label}")
-                child = MotifEngine(
-                    graph, store=self._store, kernel=self._kernel
-                )
+                child = MotifEngine(graph, store=self._store)
                 result = child.count(count_spec)
                 profile_values: Optional[Tuple[float, ...]] = None
                 if spec.num_random is not None:
@@ -919,15 +893,14 @@ class MotifEngine:
                 null, tier = stored
                 self._null_cache[key] = null
                 return _copy_counts(null.mean_counts), tier
-        with use_backend(self._kernel_backend()):
-            null = random_motif_counts(
-                self._static(),
-                num_random=spec.num_random,
-                null_model=spec.null_model,
-                algorithm=spec.algorithm,
-                sampling_ratio=spec.sampling_ratio,
-                seed=spec.seed,
-            )
+        null = random_motif_counts(
+            self._static(),
+            num_random=spec.num_random,
+            null_model=spec.null_model,
+            algorithm=spec.algorithm,
+            sampling_ratio=spec.sampling_ratio,
+            seed=spec.seed,
+        )
         if cacheable:
             self._null_cache[key] = null
             if self._store is not None:

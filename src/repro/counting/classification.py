@@ -1,11 +1,15 @@
-"""Shared instance-classification helper for the MoCHy counters.
+"""The projection interface the MoCHy counters consume.
 
-Every counter ultimately needs ``h({e_i, e_j, e_k})`` for triples drawn from
-the projected graph. This module centralizes that step so the exact and
-approximate counters cannot drift apart: hyperedge sizes come from the
-hypergraph, pairwise overlaps from the projection (hyperwedge weights ``ω``),
-and the triple overlap is computed by scanning the smallest hyperedge
-(Lemma 2).
+Every counter runs the fast-core block kernels, which read a projection
+through :func:`kernel_source`: full projections hand over their CSR
+:class:`~repro.fastcore.projection.AdjacencyArrays`, and any other provider
+must implement the block methods itself (``gather_rows``, ``row_lengths``,
+``pair_weights``).
+
+:func:`classify_triple` classifies one triple ``h({e_i, e_j, e_k})`` from
+hyperedge sizes, projection overlaps (hyperwedge weights ``ω``) and the
+triple overlap (Lemma 2). Only the instance enumerator (MoCHy-E-ENUM) and
+the :mod:`repro.fastcore.reference` oracle call it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ class NeighborhoodProvider(Protocol):
     """The projection interface the counters rely on.
 
     Both :class:`repro.projection.ProjectedGraph` and
-    :class:`repro.projection.LazyProjection` satisfy it. Providers that can
-    additionally expose CSR adjacency arrays (via an ``adjacency_arrays()``
-    method) are routed through the batched fast-core kernels; see
-    :func:`fast_adjacency`.
+    :class:`repro.projection.LazyProjection` satisfy it. ``neighbors`` and
+    ``overlap`` serve instance enumeration; counting additionally needs the
+    block interface checked by :func:`kernel_source`.
     """
 
     def neighbors(self, i: int) -> dict:  # pragma: no cover - protocol
@@ -39,7 +42,7 @@ def fast_adjacency(projection: NeighborhoodProvider):
     Any provider exposing ``adjacency_arrays()`` (today
     :class:`repro.projection.ProjectedGraph`) yields a fully materialized
     :class:`~repro.fastcore.projection.AdjacencyArrays` — the picklable form
-    the parallel drivers ship to workers and the compiled backend requires.
+    the parallel drivers ship to workers.
     """
     getter = getattr(projection, "adjacency_arrays", None)
     return getter() if getter is not None else None
@@ -50,22 +53,27 @@ _KERNEL_SOURCE_METHODS = ("gather_rows", "row_lengths", "pair_weights")
 
 
 def kernel_source(projection: NeighborhoodProvider):
-    """A block-kernel source for *projection*, or ``None`` for the fallback.
+    """The block-kernel source the counters read *projection* through.
 
-    This is the single dispatch seam between the per-triple fallback loops
-    and the batched fast-core kernels. Full projections resolve to their
+    Full projections resolve to their
     :class:`~repro.fastcore.projection.AdjacencyArrays`; any other provider
     implementing the gather/lookup interface (today
     :class:`repro.projection.LazyProjection`) is consumed directly, so the
-    memory-budgeted projection runs the same vectorized sweeps. Providers
-    with neither take the per-triple reference path.
+    memory-budgeted projection runs the same vectorized sweeps. A provider
+    with neither raises :class:`TypeError` naming the missing methods.
     """
     arrays = fast_adjacency(projection)
     if arrays is not None:
         return arrays
-    if all(hasattr(projection, name) for name in _KERNEL_SOURCE_METHODS):
-        return projection
-    return None
+    missing = [
+        name for name in _KERNEL_SOURCE_METHODS if not hasattr(projection, name)
+    ]
+    if missing:
+        raise TypeError(
+            f"{type(projection).__name__} cannot drive the counting kernels: "
+            f"it has no adjacency_arrays() and lacks {', '.join(missing)}"
+        )
+    return projection
 
 
 def classify_triple(

@@ -7,14 +7,13 @@ instance. An open instance (``e_j ∩ e_k = ∅``) is seen only from its center
 counted only when ``i < min(j, k)``. This guarantees every instance is counted
 exactly once. Complexity is ``O(Σ_i |N_{e_i}|² · |e_i|)`` (Theorem 1).
 
-``count_exact`` routes through the batched fast-core kernel
-(:func:`repro.fastcore.count_exact_batched`) whenever the projection can
-serve the block gather interface — the array-backed
-:class:`~repro.projection.ProjectedGraph` *and* the budgeted
-:class:`~repro.projection.LazyProjection` both can; any other
-:class:`NeighborhoodProvider` falls back to the per-triple enumeration,
-which is also kept as the instance-level API (``enumerate_instances``).
-All paths visit identical triples and produce bit-identical counts.
+``count_exact`` runs the batched fast-core kernel
+(:func:`repro.fastcore.count_exact_batched`) over the projection's block
+interface, which the array-backed :class:`~repro.projection.ProjectedGraph`
+and the budgeted :class:`~repro.projection.LazyProjection` both serve.
+``enumerate_instances`` keeps the per-triple walk as the instance-level API
+(MoCHy-E-ENUM); it visits the same triples, so its tallies match the kernel
+bit for bit.
 """
 
 from __future__ import annotations
@@ -62,15 +61,11 @@ def count_exact(
     """
     if projection is None:
         projection = project(hypergraph)
-    source = kernel_source(projection)
-    if source is not None:
-        return MotifCounts(
-            count_exact_batched(hypergraph.csr(), source, hyperedge_indices)
+    return MotifCounts(
+        count_exact_batched(
+            hypergraph.csr(), kernel_source(projection), hyperedge_indices
         )
-    counts = MotifCounts.zeros()
-    for instance in enumerate_instances(hypergraph, projection, hyperedge_indices):
-        counts.increment(instance.motif)
-    return counts
+    )
 
 
 def enumerate_instances(

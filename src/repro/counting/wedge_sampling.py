@@ -13,9 +13,8 @@ paper's headline algorithmic result.
 Both the array-backed :class:`~repro.projection.ProjectedGraph` and the
 budgeted :class:`~repro.projection.LazyProjection` (the point of
 Section 3.4) run the per-wedge visit through the batched fast-core kernel
-(:func:`repro.fastcore.count_wedges_batched`) — for the lazy projection only
-the row fetches honor the memoization budget; other neighborhood providers
-use the per-triple fallback.
+(:func:`repro.fastcore.count_wedges_batched`); for the lazy projection the
+row fetches honor the memoization budget.
 """
 
 from __future__ import annotations
@@ -23,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.counting.classification import (
-    NeighborhoodProvider,
-    classify_triple,
-    kernel_source,
-)
+from repro.counting.classification import NeighborhoodProvider, kernel_source
 from repro.exceptions import SamplingError
 from repro.fastcore.kernels import count_wedges_batched
 from repro.hypergraph.hypergraph import Hypergraph
@@ -142,38 +137,13 @@ def accumulate_containing_wedges(
     wedges: Sequence[Tuple[int, int]],
 ) -> MotifCounts:
     """Raw counts over all instances containing each sampled hyperwedge."""
-    source = kernel_source(projection)
-    if source is not None:
-        return MotifCounts(
-            count_wedges_batched(
-                hypergraph.csr(), source, [(int(i), int(j)) for i, j in wedges]
-            )
+    return MotifCounts(
+        count_wedges_batched(
+            hypergraph.csr(),
+            kernel_source(projection),
+            [(int(i), int(j)) for i, j in wedges],
         )
-    counts = MotifCounts.zeros()
-    for i, j in wedges:
-        _accumulate_instances_containing_wedge(
-            hypergraph, projection, int(i), int(j), counts
-        )
-    return counts
-
-
-def _accumulate_instances_containing_wedge(
-    hypergraph: Hypergraph,
-    projection: NeighborhoodProvider,
-    i: int,
-    j: int,
-    counts: MotifCounts,
-) -> None:
-    """Per-triple fallback: visit every instance containing ``∧_ij`` once."""
-    neighbors_i = projection.neighbors(i)
-    neighbors_j = projection.neighbors(j)
-    candidates = set(neighbors_i)
-    candidates.update(neighbors_j)
-    candidates.discard(i)
-    candidates.discard(j)
-    for k in candidates:
-        motif = classify_triple(hypergraph, projection, i, j, k)
-        counts.increment(motif)
+    )
 
 
 def _rescale(raw: MotifCounts, num_hyperwedges: int, num_samples: int) -> MotifCounts:

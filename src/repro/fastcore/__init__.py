@@ -12,11 +12,9 @@ batched NumPy kernels that every hot path of the library routes through:
 * :mod:`repro.fastcore.kernels` — batched h-motif classification: anchors
   are packed into pair-budgeted blocks and each block's candidate triples
   are classified in one vectorized sweep through a precomputed 128-entry
-  pattern→motif lookup table (no per-anchor Python iteration).
-* :mod:`repro.fastcore.backend` / :mod:`repro.fastcore.compiled` — kernel
-  backend selection (``REPRO_KERNEL_BACKEND``, ``--kernel-backend``,
-  ``KernelConfig``) and the optional numba-compiled inner loops; pure NumPy
-  is always the default fallback.
+  pattern→motif lookup table (no per-anchor Python iteration). They are
+  the one counting path: full and lazy projections and the
+  :mod:`repro.fastcore.delta` engine all run them.
 * :mod:`repro.fastcore.reference` — the seed (object-graph, per-triple)
   implementations, kept as the executable specification for parity tests and
   the ``bench_core_speed`` benchmark.
@@ -31,16 +29,6 @@ Sums of unit increments are order-independent in floating point, so all
 counts are bit-identical to the reference implementations.
 """
 
-from repro.fastcore.backend import (
-    ENV_KERNEL_BACKEND,
-    KERNEL_BACKEND_CHOICES,
-    KERNEL_BACKENDS,
-    get_backend,
-    numba_available,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.fastcore.csr import HypergraphCSR, build_csr
 from repro.fastcore.projection import (
     AdjacencyArrays,
@@ -68,12 +56,4 @@ __all__ = [
     "count_exact_batched",
     "count_containing_batched",
     "count_wedges_batched",
-    "ENV_KERNEL_BACKEND",
-    "KERNEL_BACKENDS",
-    "KERNEL_BACKEND_CHOICES",
-    "numba_available",
-    "resolve_backend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

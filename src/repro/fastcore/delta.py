@@ -41,7 +41,7 @@ append-only by construction — the property the whole scheme rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class DeltaState:
         "pair_keys",
         "pair_counts",
         "counts",
-        "backend",
     )
 
     def __init__(
@@ -117,7 +116,6 @@ class DeltaState:
         pair_keys: np.ndarray,
         pair_counts: np.ndarray,
         counts: np.ndarray,
-        backend: Optional[str] = None,
     ) -> None:
         self.node_ids = node_ids
         self.csr = csr
@@ -125,7 +123,6 @@ class DeltaState:
         self.pair_keys = pair_keys
         self.pair_counts = pair_counts
         self.counts = counts
-        self.backend = backend
 
     @property
     def num_edges(self) -> int:
@@ -150,7 +147,6 @@ def _empty_csr() -> HypergraphCSR:
 
 def initial_state(
     hyperedges: Iterable[Iterable[Node]] = (),
-    backend: Optional[str] = None,
 ) -> DeltaState:
     """A fresh state counted from scratch over *hyperedges*.
 
@@ -171,7 +167,6 @@ def initial_state(
         pair_keys=empty_keys,
         pair_counts=empty_keys.copy(),
         counts=np.zeros(26, dtype=np.float64),
-        backend=backend,
     )
     edges = list(hyperedges)
     if edges:
@@ -325,11 +320,9 @@ def apply_delta(
         [invalidated, np.arange(first_new_edge, new_csr.num_edges, dtype=np.int64)]
     )
 
-    gained = count_exact_batched(new_csr, adjacency, affected, backend=state.backend)
+    gained = count_exact_batched(new_csr, adjacency, affected)
     if invalidated.size:
-        stale = count_exact_batched(
-            state.csr, state.adjacency, invalidated, backend=state.backend
-        )
+        stale = count_exact_batched(state.csr, state.adjacency, invalidated)
         state.counts = state.counts + gained - stale
     else:
         state.counts = state.counts + gained

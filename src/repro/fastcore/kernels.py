@@ -27,18 +27,17 @@ budget, and each block is processed by one vectorized sweep —
   :func:`repro.motifs.classify.motif_lookup_table` with one fancy index,
   accumulated with a single ``bincount`` per block.
 
-An optional compiled backend (:mod:`repro.fastcore.compiled`, numba) can
-replace the NumPy block sweep for full :class:`AdjacencyArrays` sources; it
-is selected via :mod:`repro.fastcore.backend` (``REPRO_KERNEL_BACKEND``,
-``--kernel-backend``, ``KernelConfig``) and the pure-NumPy path always
-remains the default fallback.
+These sweeps are the only implementation of the three counters: full
+projections, lazy projections and the incremental delta engine all call
+them, and :mod:`repro.fastcore.reference` keeps the seed per-triple loops
+only as the parity oracle.
 
 Exactness: the kernels enumerate exactly the triples the reference loops
 enumerate, compute identical integer cardinalities, and raise the same
 exceptions (``MotifError`` / ``DuplicateHyperedgeError`` /
 ``NotConnectedError``) on invalid triples. Counters are sums of unit
 increments in float64 (integers far below 2**53), so the resulting
-``MotifCounts`` are bit-identical regardless of block boundaries or backend.
+``MotifCounts`` are bit-identical regardless of block boundaries.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.exceptions import (
     NotConnectedError,
     ProjectionError,
 )
-from repro.fastcore import backend as _backend
 from repro.fastcore.csr import HypergraphCSR
 from repro.fastcore.projection import (
     AdjacencyArrays,
@@ -237,11 +235,6 @@ def classify_batch(
     return motifs.astype(np.int64)
 
 
-# Backwards-compatible aliases: the gather helpers moved to
-# repro.fastcore.projection so AdjacencyArrays could grow gather_rows().
-_gather_row_positions = gather_row_positions
-
-
 def _gather_rows(
     ptr: np.ndarray, data: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -277,24 +270,6 @@ def _as_anchor_array(
         array = np.fromiter((int(i) for i in anchors), dtype=np.int64)
     _check_vertex_range(array, num_edges)
     return array
-
-
-def _compiled_module(adjacency, backend: Optional[str]):
-    """The compiled backend module when it should handle this call, else None.
-
-    Lazy sources always take the NumPy block path — the compiled kernels
-    need the full adjacency arrays.
-    """
-    name = (
-        _backend.get_backend()
-        if backend is None
-        else _backend.resolve_backend(backend)
-    )
-    if name != _backend.BACKEND_NUMBA or not isinstance(adjacency, AdjacencyArrays):
-        return None
-    from repro.fastcore import compiled
-
-    return compiled
 
 
 def _iter_source_blocks(
@@ -503,7 +478,6 @@ def count_exact_batched(
     csr: HypergraphCSR,
     adjacency,
     hyperedge_indices: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Exact h-motif counts (MoCHy-E) as a length-26 float array.
 
@@ -514,11 +488,6 @@ def count_exact_batched(
     pair-budgeted blocks with no per-anchor Python iteration.
     """
     anchors = _as_anchor_array(hyperedge_indices, csr.num_edges)
-    compiled = _compiled_module(adjacency, backend)
-    if compiled is not None:
-        result = compiled.count_exact(csr, adjacency, anchors)
-        if result is not None:
-            return result
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
     sizes = csr.edge_sizes
     for block, ids, weights, lengths in _iter_source_blocks(adjacency, anchors):
@@ -533,7 +502,6 @@ def count_containing_batched(
     csr: HypergraphCSR,
     adjacency,
     anchors: Sequence[int],
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Raw counts of instances containing each anchor hyperedge (MoCHy-A).
 
@@ -546,11 +514,6 @@ def count_containing_batched(
       candidates ``N_{e_j} \\ (N_{e_i} ∪ {e_i})``.
     """
     anchor_array = _as_anchor_array(anchors, csr.num_edges)
-    compiled = _compiled_module(adjacency, backend)
-    if compiled is not None:
-        result = compiled.count_containing(csr, adjacency, anchor_array)
-        if result is not None:
-            return result
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
     sizes = csr.edge_sizes
     for block, ids, weights, lengths in _iter_source_blocks(
@@ -630,7 +593,6 @@ def count_wedges_batched(
     csr: HypergraphCSR,
     adjacency,
     wedges: Sequence[Tuple[int, int]],
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Raw counts of instances containing each sampled hyperwedge (MoCHy-A+).
 
@@ -648,13 +610,6 @@ def count_wedges_batched(
             (int(x) for pair in wedges for x in pair), dtype=np.int64
         ).reshape(-1, 2)
     _check_vertex_range(wedge_array, csr.num_edges)
-    compiled = _compiled_module(adjacency, backend)
-    if compiled is not None:
-        result = compiled.count_wedges(
-            csr, adjacency, wedge_array[:, 0], wedge_array[:, 1]
-        )
-        if result is not None:
-            return result
     totals = np.zeros(NUM_MOTIFS + 1, dtype=np.float64)
     sizes = csr.edge_sizes
     num_wedges = wedge_array.shape[0]

@@ -4,7 +4,8 @@ Pins the triu-cache accounting under concurrency (the double-charge race fix),
 the byte-LUT popcount fallback against an independent reference, and the
 block partitioning: shrunk-to-budget anchor blocks, singleton hub blocks that
 take the chunked pair path, and the lazy projection driving the same kernels
-— all bit-identical to :mod:`repro.fastcore.reference` counts.
+— all bit-identical to :mod:`repro.fastcore.reference` counts. A provider
+without the block interface is rejected rather than counted another way.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 import pytest
 
 from repro.counting.classification import fast_adjacency
+from repro.counting.edge_sampling import accumulate_containing
+from repro.counting.exact import count_exact
+from repro.counting.wedge_sampling import accumulate_containing_wedges
 from repro.fastcore import kernels
 from repro.fastcore.reference import (
     count_containing_reference,
@@ -210,3 +214,44 @@ class TestLazySourceThroughKernels:
             hypergraph, project_reference(hypergraph), wedges
         ).to_array()
         assert np.array_equal(got, want)
+
+
+class _NeighborsOnly:
+    """A dict-backed provider with only ``neighbors``/``overlap``."""
+
+    def __init__(self, projection):
+        self._adjacency = {
+            i: dict(projection.neighbors(i)) for i in range(projection.num_hyperedges)
+        }
+
+    def neighbors(self, i):
+        return self._adjacency.get(i, {})
+
+    def overlap(self, i, j):
+        return self._adjacency.get(i, {}).get(j, 0)
+
+
+class TestProviderWithoutBlockInterface:
+    """Every counter rejects a provider without the block interface."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda hypergraph, provider: count_exact(hypergraph, provider),
+            lambda hypergraph, provider: accumulate_containing(
+                hypergraph, provider, [0, 1]
+            ),
+            lambda hypergraph, provider: accumulate_containing_wedges(
+                hypergraph, provider, [(0, 1)]
+            ),
+        ],
+        ids=["count_exact", "accumulate_containing", "accumulate_wedges"],
+    )
+    def test_counters_name_the_missing_methods(self, graph, run):
+        hypergraph, projection, _ = graph
+        with pytest.raises(TypeError) as raised:
+            run(hypergraph, _NeighborsOnly(projection))
+        message = str(raised.value)
+        assert "_NeighborsOnly" in message
+        for method in ("gather_rows", "row_lengths", "pair_weights"):
+            assert method in message
